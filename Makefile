@@ -92,7 +92,6 @@ bench:
 	$(GO) run ./cmd/benchpath -check -out BENCH_pathindex.json
 	$(GO) run ./cmd/benchcompile -check -out BENCH_compile.json
 	$(GO) run ./cmd/benchstore -check -out BENCH_store.json
-	$(GO) run ./cmd/benchpul -check -out BENCH_pul.json
 	$(GO) run ./cmd/benchft -check -out BENCH_ft.json
 	$(GO) run ./cmd/benchfed -check -out BENCH_fed.json
 
@@ -102,18 +101,16 @@ bench:
 # the compile-backend gate (FLWOR-heavy compiled runs at least 2x
 # faster than the walker, identical results from both backends), the
 # store gate (4-shard parallel collection scan at least 2x faster than
-# 1 shard, identical document sets), the update gate (partitioned
-# parallel PUL apply at least 2x faster than serial, identical
-# documents), and the full-text gate (indexed ftcontains at least 5x
-# faster than the tokenize-and-scan baseline, byte-identical results),
-# and the federation gate (hedged p99 at least 2x better than unhedged
-# with one stalled backend of four, identical merged results).
+# 1 shard, identical document sets), the full-text gate (indexed
+# ftcontains at least 5x faster than the tokenize-and-scan baseline,
+# byte-identical results), and the federation gate (hedged p99 at
+# least 2x better than unhedged with one stalled backend of four,
+# identical merged results).
 bench-smoke:
 	$(GO) run ./cmd/benchserve -smoke -out BENCH_serve.json
 	$(GO) run ./cmd/benchpath -smoke -out BENCH_pathindex.json
 	$(GO) run ./cmd/benchcompile -smoke -out BENCH_compile.json
 	$(GO) run ./cmd/benchstore -smoke -out BENCH_store.json
-	$(GO) run ./cmd/benchpul -smoke -out BENCH_pul.json
 	$(GO) run ./cmd/benchft -smoke -out BENCH_ft.json
 	$(GO) run ./cmd/benchfed -smoke -out BENCH_fed.json
 

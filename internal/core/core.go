@@ -400,16 +400,13 @@ func (h *Host) runMain(pp *pageProgram) error {
 // is the host's evaluation boundary: a panicking query or listener
 // recovers into an error matching xqerr.ErrInternal, and a mid-apply
 // update failure rolls the page back (the apply is atomic), so the
-// host survives both with a consistent DOM. Applies run through the
-// update-independence partitioner with elimination off: the host keeps
-// long-lived references into the page tree (listener targets, the
-// window tree), so detached subtrees stay exactly as the serial order
-// leaves them.
+// host survives both with a consistent DOM. Dead-update elimination
+// stays off: the host keeps long-lived references into the page tree
+// (listener targets, the window tree), so detached subtrees stay
+// exactly as the serial order leaves them.
 func (h *Host) finish(ctx *runtime.Context, eval func() (xdm.Sequence, error)) (val xdm.Sequence, err error) {
 	defer xqerr.RecoverInto(&err, "core.Host.finish")
-	applyBatch := func(pul *update.PUL) error {
-		return pul.ApplyParallel(h.onUpdate, update.ParallelConfig{})
-	}
+	applyBatch := func(pul *update.PUL) error { return pul.Apply(h.onUpdate) }
 	ctx.SnapshotApply = applyBatch
 	val, err = eval()
 	if err != nil {

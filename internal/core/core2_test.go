@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/browser"
 	"repro/internal/dom"
+	"repro/internal/dom/index"
 	"repro/internal/markup"
 	"repro/internal/xquery"
 )
@@ -201,6 +202,39 @@ func TestUpdateCountAcrossListeners(t *testing.T) {
 	_ = h.Click("b")
 	if got := h.UpdateCount() - before; got != 2 {
 		t.Errorf("update delta = %d, want 2", got)
+	}
+}
+
+// TestClickApplyBuildsNoIndex pins that a click turn's pending list —
+// well over a handful of primitives — applies without building a
+// document-order index: the host applies with elimination off, and
+// only the gated elimination rule needs spans.
+func TestClickApplyBuildsNoIndex(t *testing.T) {
+	page := `<html><head><script type="text/xquery">
+		declare updating function local:f($evt, $obj) {
+			for $d in /html/body/div
+			return (replace value of node $d with "x", insert node <i/> into $d)
+		};
+		on event "click" at //input[@id="b"] attach listener local:f
+	</script></head><body><input id="b"/><div/><div/><div/><div/></body></html>`
+	h, err := LoadPage(page, "http://example.com/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Loading may have cached an index; the first turn's mutations
+	// leave it stale, so the second turn starts with no fresh index to
+	// reuse.
+	for turn := 1; turn <= 2; turn++ {
+		before, builds0 := h.UpdateCount(), index.Snapshot().Builds
+		if err := h.Click("b"); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.UpdateCount() - before; got != 8 {
+			t.Errorf("turn %d: update delta = %d, want 8", turn, got)
+		}
+		if got := index.Snapshot().Builds - builds0; got != 0 {
+			t.Errorf("turn %d built %d indexes", turn, got)
+		}
 	}
 }
 

@@ -109,6 +109,32 @@ func TestDocumentOrderAfterMutation(t *testing.T) {
 	}
 }
 
+// TestCompareOrderAcrossTrees pins the inter-tree order: trees order by
+// their roots' creation, whatever the heap layout, a detached node
+// counts as a tree of its own, and the comparison allocates nothing.
+func TestCompareOrderAcrossTrees(t *testing.T) {
+	older, newer := NewDocument(), NewDocument()
+	x, y := NewElement(Name("x")), NewElement(Name("y"))
+	if err := older.AppendChild(y); err != nil {
+		t.Fatal(err)
+	}
+	if err := newer.AppendChild(x); err != nil {
+		t.Fatal(err)
+	}
+	if CompareOrder(y, x) != -1 || CompareOrder(x, y) != 1 {
+		t.Error("nodes of the older tree must precede the newer tree's")
+	}
+	// Detached, x is a root of its own and orders by its own creation,
+	// which came after both documents'.
+	x.Detach()
+	if CompareOrder(older, x) != -1 || CompareOrder(x, newer) != 1 {
+		t.Error("a detached node orders by its own creation")
+	}
+	if n := testing.AllocsPerRun(100, func() { CompareOrder(y, x) }); n != 0 {
+		t.Errorf("cross-tree CompareOrder allocates %v times", n)
+	}
+}
+
 func TestInsertBeforeAfter(t *testing.T) {
 	_, root, a, b, _ := buildSample(t)
 	x := NewElement(Name("x"))

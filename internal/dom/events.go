@@ -78,21 +78,33 @@ type listener struct {
 // non-nil, matching addEventListener's duplicate suppression.
 func (n *Node) AddEventListener(typ string, capture bool, id any, fn Listener) {
 	if id != nil {
-		for _, l := range n.listeners {
+		for _, l := range n.listenerList() {
 			if l.typ == typ && l.capture == capture && l.id == id {
 				return
 			}
 		}
 	}
-	n.listeners = append(n.listeners, &listener{typ: typ, capture: capture, fn: fn, id: id})
+	if n.listeners == nil {
+		n.listeners = new([]*listener)
+	}
+	*n.listeners = append(*n.listeners, &listener{typ: typ, capture: capture, fn: fn, id: id})
+}
+
+// listenerList returns the listeners registered directly on n.
+func (n *Node) listenerList() []*listener {
+	if n.listeners == nil {
+		return nil
+	}
+	return *n.listeners
 }
 
 // RemoveEventListener removes the registration with the matching
 // (type, capture, id).
 func (n *Node) RemoveEventListener(typ string, capture bool, id any) {
-	for i, l := range n.listeners {
+	ls := n.listenerList()
+	for i, l := range ls {
 		if l.typ == typ && l.capture == capture && l.id == id {
-			n.listeners = append(n.listeners[:i], n.listeners[i+1:]...)
+			*n.listeners = append(ls[:i], ls[i+1:]...)
 			return
 		}
 	}
@@ -102,7 +114,7 @@ func (n *Node) RemoveEventListener(typ string, capture bool, id any) {
 // registered directly on n (both phases).
 func (n *Node) ListenerCount(typ string) int {
 	c := 0
-	for _, l := range n.listeners {
+	for _, l := range n.listenerList() {
 		if l.typ == typ {
 			c++
 		}
@@ -145,7 +157,7 @@ func (n *Node) invoke(ev *Event, capture bool) {
 	ev.CurrentTarget = n
 	// Snapshot: listeners added during dispatch do not fire for this
 	// event; removed ones are skipped via the live check below.
-	snapshot := append([]*listener(nil), n.listeners...)
+	snapshot := append([]*listener(nil), n.listenerList()...)
 	for _, l := range snapshot {
 		if ev.stopped {
 			return
@@ -161,7 +173,7 @@ func (n *Node) invoke(ev *Event, capture bool) {
 }
 
 func (n *Node) hasListener(l *listener) bool {
-	for _, x := range n.listeners {
+	for _, x := range n.listenerList() {
 		if x == l {
 			return true
 		}

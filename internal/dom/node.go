@@ -92,17 +92,22 @@ type Node struct {
 	children []*Node
 	attrs    []*Node // attribute nodes; their parent is this element
 
-	listeners []*listener
+	// listeners is a pointer so the rarely used list costs a node 8
+	// bytes, not a slice header's 24; that keeps Node (seq included)
+	// in the 224-byte allocation size class.
+	listeners *[]*listener
 
 	// order cache: stamp valid while the owning document's version
 	// matches stampVersion.
 	stamp        uint64
 	stampVersion uint64
+	// seq is the node's creation sequence number, the deterministic
+	// order CompareOrder gives nodes of different trees.
+	seq uint64
 	// version is the root node's mutation counter, bumped on every
-	// mutation of its tree. It is atomic so independent update groups
-	// (internal/xquery/update's parallel apply) may mutate disjoint
-	// subtrees of one tree concurrently: the counter is the only field
-	// those groups share.
+	// mutation of its tree. It stays atomic: a plain integer would need
+	// every reader and writer of one tree to be ordered by its owner,
+	// which is unverified.
 	version atomic.Uint64
 
 	// indexCache holds the version-stamped index of the tree rooted at
@@ -116,15 +121,25 @@ type Node struct {
 	ftCache atomic.Value
 }
 
+// nodeSeq numbers nodes in creation order (see Node.seq).
+var nodeSeq atomic.Uint64
+
+// born stamps a freshly allocated node with its creation sequence
+// number; every constructor routes through it.
+func born(n *Node) *Node {
+	n.seq = nodeSeq.Add(1)
+	return n
+}
+
 // NewDocument creates an empty document node.
-func NewDocument() *Node { return &Node{Type: DocumentNode} }
+func NewDocument() *Node { return born(&Node{Type: DocumentNode}) }
 
 // NewDocumentOf creates a document node with the given base URI and
 // adopts the (detached) children into it — the constructor transport
 // layers use to rebuild a document identity around a deserialized
 // root element.
 func NewDocumentOf(baseURI string, children ...*Node) *Node {
-	d := &Node{Type: DocumentNode, BaseURI: baseURI}
+	d := born(&Node{Type: DocumentNode, BaseURI: baseURI})
 	for _, c := range children {
 		_ = d.AppendChild(c)
 	}
@@ -132,22 +147,22 @@ func NewDocumentOf(baseURI string, children ...*Node) *Node {
 }
 
 // NewElement creates a detached element node.
-func NewElement(name QName) *Node { return &Node{Type: ElementNode, Name: name} }
+func NewElement(name QName) *Node { return born(&Node{Type: ElementNode, Name: name}) }
 
 // NewText creates a detached text node.
-func NewText(data string) *Node { return &Node{Type: TextNode, Data: data} }
+func NewText(data string) *Node { return born(&Node{Type: TextNode, Data: data}) }
 
 // NewComment creates a detached comment node.
-func NewComment(data string) *Node { return &Node{Type: CommentNode, Data: data} }
+func NewComment(data string) *Node { return born(&Node{Type: CommentNode, Data: data}) }
 
 // NewAttr creates a detached attribute node.
 func NewAttr(name QName, value string) *Node {
-	return &Node{Type: AttributeNode, Name: name, Data: value}
+	return born(&Node{Type: AttributeNode, Name: name, Data: value})
 }
 
 // NewPI creates a detached processing-instruction node.
 func NewPI(target, data string) *Node {
-	return &Node{Type: ProcessingInstructionNode, Name: Name(target), Data: data}
+	return born(&Node{Type: ProcessingInstructionNode, Name: Name(target), Data: data})
 }
 
 // Parent returns the parent node (the owning element for attributes),
@@ -353,9 +368,9 @@ func (n *Node) ElementByID(id string) *Node {
 // is detached and carries no event listeners, matching XQuery copy
 // semantics for constructed/inserted content.
 func (n *Node) Clone() *Node {
-	c := &Node{Type: n.Type, Name: n.Name, Data: n.Data, BaseURI: n.BaseURI}
+	c := born(&Node{Type: n.Type, Name: n.Name, Data: n.Data, BaseURI: n.BaseURI})
 	for _, a := range n.attrs {
-		ac := &Node{Type: AttributeNode, Name: a.Name, Data: a.Data, parent: c}
+		ac := born(&Node{Type: AttributeNode, Name: a.Name, Data: a.Data, parent: c})
 		c.attrs = append(c.attrs, ac)
 	}
 	for _, k := range n.children {

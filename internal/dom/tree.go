@@ -298,8 +298,9 @@ func (n *Node) NormalizeText() {
 }
 
 // CompareOrder returns -1, 0 or +1 as a precedes, equals or follows b in
-// document order. Nodes from different trees are ordered by an arbitrary
-// but stable tie-break (root pointer identity), as the XDM allows.
+// document order. Nodes from different trees are ordered by their
+// roots' creation order, an implementation-dependent but stable and
+// deterministic order, as the XDM allows.
 // Attributes order after their owning element and among themselves by
 // attribute-list position.
 func CompareOrder(a, b *Node) int {
@@ -308,8 +309,7 @@ func CompareOrder(a, b *Node) int {
 	}
 	ra, rb := a.Root(), b.Root()
 	if ra != rb {
-		// Stable arbitrary inter-tree order.
-		if fmt.Sprintf("%p", ra) < fmt.Sprintf("%p", rb) {
+		if ra.seq < rb.seq {
 			return -1
 		}
 		return 1

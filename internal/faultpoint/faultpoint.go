@@ -213,9 +213,9 @@ func Seeded(seed uint64, rate float64) Trigger {
 
 // Delay never fires; it sleeps d on every hit instead. It models a
 // slow dependency (layout, paint, a remote shard) behind a point, so
-// benchmarks can measure how much of a stalled serial path parallel
-// application overlaps — the sleep happens outside the package mutex,
-// so concurrent hitters stall independently.
+// benchmarks can measure how much of a stalled serial path concurrent
+// work overlaps — the sleep happens outside the package mutex, so
+// concurrent hitters stall independently.
 func Delay(d time.Duration) Trigger {
 	return triggerFunc(func() bool {
 		time.Sleep(d)

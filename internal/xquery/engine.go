@@ -359,45 +359,17 @@ type RunConfig struct {
 	// tests. Walked runs evaluate the original (unoptimized) module
 	// AST, so this flag also bypasses the algebraic optimizer.
 	DisableCompile bool
-	// NonAtomicUpdates applies pending update lists without the undo
-	// log: a mid-list failure leaves earlier primitives in place
-	// instead of rolling the documents back. Escape hatch for hosts
-	// that relied on the pre-rollback behaviour; see PUL.ApplyNonAtomic.
-	NonAtomicUpdates bool
-	// SerialUpdates applies pending update lists strictly serially,
-	// bypassing the update-independence partitioner (PUL.ApplyParallel).
-	// The serial path is the differential oracle for the parallel one;
-	// results are byte-identical either way, so this is a debugging and
-	// benchmarking escape hatch, not a correctness switch.
-	SerialUpdates bool
 }
 
-// applyPUL applies a pending update list honouring the run's atomicity
-// and parallelism settings.
-func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive)) error {
-	return cfg.applyPULEliminate(pul, onChange, false)
-}
-
-// applyPULEliminate is applyPUL with the observability-gated
-// dead-update elimination switched by the caller: only the final apply
-// of a fresh, non-sequential Run whose result and external variables
-// carry no node items may set eliminate (see finishRun), because
+// applyPUL applies a pending update list atomically. eliminate switches
+// the observability-gated dead-update elimination: only the final
+// apply of a fresh, non-sequential Run whose result and external
+// variables carry no node items may set it (see finishRun), because
 // elimination changes the state of detached subtrees.
-func (cfg *RunConfig) applyPULEliminate(pul *update.PUL, onChange func(update.Primitive), eliminate bool) error {
-	switch {
-	case cfg.NonAtomicUpdates:
-		return pul.ApplyNonAtomic(onChange)
-	case cfg.SerialUpdates:
-		return pul.Apply(onChange)
-	}
-	var stats update.ApplyStats
-	err := pul.ApplyParallel(onChange, update.ParallelConfig{Eliminate: eliminate, Stats: &stats})
+func (cfg *RunConfig) applyPUL(pul *update.PUL, onChange func(update.Primitive), eliminate bool) error {
+	eliminated, err := pul.ApplyEliminate(onChange, eliminate)
 	if cfg.Profiler != nil {
-		cfg.Profiler.AddUpdates("groups", int64(stats.Groups))
-		cfg.Profiler.AddUpdates("eliminated", int64(stats.Eliminated))
-		if stats.Parallel {
-			cfg.Profiler.AddUpdates("parallel", 1)
-		}
+		cfg.Profiler.AddUpdates("eliminated", int64(eliminated))
 	}
 	return err
 }
@@ -463,7 +435,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	}
 	if cfg.Sequential {
 		ctx.SnapshotApply = func(pul *update.PUL) error {
-			return cfg.applyPUL(pul, cfg.OnUpdate)
+			return cfg.applyPUL(pul, cfg.OnUpdate, false)
 		}
 	}
 	return ctx
@@ -532,7 +504,7 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 		}
 	}
 	if cfg.Sequential {
-		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count) }
+		ctx.SnapshotApply = func(pul *update.PUL) error { return cfg.applyPUL(pul, count, false) }
 	}
 	val, err := eval()
 	if err != nil {
@@ -546,7 +518,7 @@ func finishRun(ctx *runtime.Context, cfg RunConfig, eval func() (xdm.Sequence, e
 		// external variable bindings.
 		eliminate := fresh && !cfg.Sequential &&
 			!seqHasNodes(val) && !varsHaveNodes(cfg.Variables)
-		if err := cfg.applyPULEliminate(ctx.PUL, count, eliminate); err != nil {
+		if err := cfg.applyPUL(ctx.PUL, count, eliminate); err != nil {
 			return nil, err
 		}
 	}

@@ -79,32 +79,37 @@ func TestFnID(t *testing.T) {
 	}
 }
 
-// TestProfilerUpdatePartitionCounters drives an updating run with a
-// profiler attached and checks the engine wires the partitioner's
-// statistics through: group counts accumulate and Format renders the
-// update: lines.
+// TestProfilerUpdatePartitionCounters drives updating runs with a
+// profiler attached and checks the engine wires the apply statistics
+// through: an eliminating run credits the dropped primitives and
+// Format renders the update:eliminated line; a run whose result hands
+// out nodes keeps elimination off and credits nothing.
 func TestProfilerUpdatePartitionCounters(t *testing.T) {
 	e := New()
-	prog := e.MustCompile(`insert node <x/> into (//library)[1],
-		rename node (//book)[1] as "tome"`)
+	const q = `(for $b in //book return insert node <note/> into $b, delete nodes //book`
 	prof := runtime.NewProfiler()
-	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: prof}); err != nil {
+	if _, err := e.MustCompile(q + `)`).Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if got := prof.UpdatesFor("groups"); got < 1 {
-		t.Errorf("UpdatesFor(groups) = %d, want >= 1", got)
+	if got := prof.UpdatesFor("eliminated"); got != 3 {
+		t.Errorf("UpdatesFor(eliminated) = %d, want 3 (one insert per deleted book)", got)
 	}
 	out := prof.Format()
-	if !strings.Contains(out, "update:groups") {
-		t.Errorf("Format output missing update:groups lines:\n%s", out)
+	if !strings.Contains(out, "update:eliminated") {
+		t.Errorf("Format output missing update:eliminated line:\n%s", out)
 	}
-	// The serial escape hatch bypasses the partitioner, so its counters
-	// must stay untouched.
-	serial := runtime.NewProfiler()
-	if _, err := prog.Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: serial, SerialUpdates: true}); err != nil {
+	for _, gone := range []string{"update:groups", "update:parallel"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("Format output still has %s:\n%s", gone, out)
+		}
+	}
+	// A node in the result could observe the detached books, so the
+	// same pending list applies without gated elimination.
+	observed := runtime.NewProfiler()
+	if _, err := e.MustCompile(q + `, //library)`).Run(RunConfig{ContextItem: xdm.NewNode(libraryDoc(t)), Profiler: observed}); err != nil {
 		t.Fatal(err)
 	}
-	if got := serial.UpdatesFor("groups"); got != 0 {
-		t.Errorf("serial UpdatesFor(groups) = %d, want 0", got)
+	if got := observed.UpdatesFor("eliminated"); got != 0 {
+		t.Errorf("observed UpdatesFor(eliminated) = %d, want 0", got)
 	}
 }

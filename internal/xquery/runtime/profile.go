@@ -109,10 +109,10 @@ func (p *Profiler) RewritesFor(kind string) int64 {
 	return p.rewrites[kind]
 }
 
-// AddUpdates adds to a named update-partition counter. The engine
-// credits each run's PUL partition outcome ("groups", "eliminated",
-// "parallel") here, so a profile reports how the update-independence
-// analysis split and pruned the run's pending updates.
+// AddUpdates adds to a named update counter. The engine credits the
+// primitives each apply dropped as dead ("eliminated") here, so a
+// profile reports how the update analysis pruned the run's pending
+// updates.
 func (p *Profiler) AddUpdates(kind string, n int64) {
 	if n == 0 {
 		return
@@ -125,7 +125,7 @@ func (p *Profiler) AddUpdates(kind string, n int64) {
 	p.mu.Unlock()
 }
 
-// UpdatesFor returns a named update-partition counter (see AddUpdates).
+// UpdatesFor returns a named update counter (see AddUpdates).
 func (p *Profiler) UpdatesFor(kind string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

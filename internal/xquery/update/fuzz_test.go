@@ -8,14 +8,14 @@ import (
 	"repro/internal/markup"
 )
 
-// FuzzPULPartition drives the partitioner against the serial oracle:
-// an arbitrary byte string is decoded into a pending update list, the
-// same list is built against two parses of one document, and the
-// serial Apply and ApplyParallel results must agree — same error
-// presence, byte-identical live documents (after rollback too).
-// Elimination is exercised from the input's first byte; eliminable()
-// guarantees it never changes failure behaviour, so comparing error
-// presence stays valid with it on.
+// FuzzPULPartition drives dead-update elimination against the plain
+// serial oracle: an arbitrary byte string is decoded into a pending
+// update list, the same list is built against two parses of one
+// document, and applyReference (every primitive, none dropped) and
+// ApplyEliminate must agree — same error presence, byte-identical live
+// documents (after rollback too). The gated rule is switched from the
+// input's first byte; eliminable() guarantees it never changes failure
+// behaviour, so comparing error presence stays valid with it on.
 func FuzzPULPartition(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4})
 	f.Add([]byte{1, 7, 0, 7, 2, 7, 9, 3})
@@ -51,14 +51,14 @@ func FuzzPULPartition(f *testing.F) {
 
 		index.For(docS)
 		index.For(docP)
-		errS := ps.Apply(nil)
-		errP := pp.ApplyParallel(nil, ParallelConfig{MinPrims: 1, Eliminate: eliminate})
+		errS := applyReference(ps, func(Primitive) {})
+		_, errP := pp.ApplyEliminate(nil, eliminate)
 		if (errS == nil) != (errP == nil) {
-			t.Fatalf("apply error mismatch: serial %v, parallel %v", errS, errP)
+			t.Fatalf("apply error mismatch: serial %v, eliminating %v", errS, errP)
 		}
 		s, p := markup.Serialize(docS), markup.Serialize(docP)
 		if s != p {
-			t.Fatalf("documents diverged (err=%v):\n serial   %s\n parallel %s", errS, s, p)
+			t.Fatalf("documents diverged (err=%v):\n serial      %s\n eliminating %s", errS, s, p)
 		}
 	})
 }

@@ -147,62 +147,56 @@ func Rollbacks() int64 { return rollbacks.Load() }
 // counter is rewound to its pre-apply value (re-stamping document
 // order and dropping any index built in the rolled-back window, once
 // per tree), and the original error returns with the documents
-// serialisation-identical to their pre-apply state. That makes the
-// Update Facility's all-or-nothing contract hold against the live DOM,
-// not just the evaluation snapshot.
+// serialisation-identical to their pre-apply state and the list intact.
+// That makes the Update Facility's all-or-nothing contract hold against
+// the live DOM, not just the evaluation snapshot. Primitives that are
+// exact no-ops in that order (a delete of a replaced node, a duplicate
+// delete) are dropped first.
 //
 // If onChange is non-nil it is called once per applied primitive (the
 // plug-in host uses this to count DOM mutations and schedule
 // re-rendering) — but only after the whole list has applied, so
 // observers never see a primitive that is later rolled back.
 func (p *PUL) Apply(onChange func(Primitive)) error {
-	return p.apply(onChange, true)
+	_, err := p.ApplyEliminate(onChange, false)
+	return err
 }
 
-// ApplyNonAtomic performs the pending updates without undo logging:
-// primitives apply (and report to onChange) one by one, and a mid-list
-// failure leaves the earlier mutations in place. This is the
-// RunConfig.NonAtomicUpdates escape hatch for hosts that relied on the
-// pre-rollback behaviour or cannot afford the undo log.
-func (p *PUL) ApplyNonAtomic(onChange func(Primitive)) error {
-	return p.apply(onChange, false)
-}
-
-func (p *PUL) apply(onChange func(Primitive), atomically bool) error {
-	var u *undoLog
-	var versions map[*dom.Node]uint64
-	if atomically {
-		u = &undoLog{}
-		versions = snapshotVersions(p.prims)
+// ApplyEliminate is Apply with the observability-gated dead-update
+// rules switched by eliminate: primitives whose entire effect lands
+// inside a subtree that a surviving delete/replaceNode detaches are
+// dropped as well. The live documents end up byte-identical either
+// way; what changes is the state of the detached subtrees, so callers
+// must only set eliminate when nothing can observe them (no node items
+// in the result, no node-bearing external variables, no reused
+// context). It returns how many primitives were dropped, the exact
+// no-ops included.
+func (p *PUL) ApplyEliminate(onChange func(Primitive), eliminate bool) (int, error) {
+	survivors, eliminated := dropDead(p.prims, eliminate)
+	ordered := orderedPrims(survivors)
+	versions := snapshotVersions(p.prims)
+	u := &undoLog{}
+	for _, pr := range ordered {
+		err := faultpoint.Hit(faultpoint.PointUpdateApply)
+		if err == nil {
+			err = applyOne(pr, u)
+		}
+		if err != nil {
+			rollbacks.Add(1)
+			return 0, rollback(err, u, versions)
+		}
 	}
-	fail := func(err error) error {
-		if !atomically {
-			return err
-		}
-		rollbacks.Add(1)
-		return rollback(err, []*undoLog{u}, versions)
-	}
-	var applied []Primitive
-	for _, pr := range orderedPrims(p.prims) {
-		if err := faultpoint.Hit(faultpoint.PointUpdateApply); err != nil {
-			return fail(err)
-		}
-		if err := applyOne(pr, u); err != nil {
-			return fail(err)
-		}
-		if atomically {
-			applied = append(applied, pr)
-		} else if onChange != nil {
-			onChange(pr)
-		}
+	statEliminated.Add(int64(eliminated))
+	if len(ordered) > 0 {
+		statGroups.Add(1)
 	}
 	if onChange != nil {
-		for _, pr := range applied {
+		for _, pr := range ordered {
 			onChange(pr)
 		}
 	}
 	p.Reset()
-	return nil
+	return eliminated, nil
 }
 
 // orderedPrims returns the primitives in the Update Facility's
@@ -235,34 +229,25 @@ func snapshotVersions(prims []Primitive) map[*dom.Node]uint64 {
 	return versions
 }
 
-// rollback unwinds a failed apply: the undo logs run back to front
-// (last log first, each log in strict reverse), every touched tree's
-// version counter is rewound, and the original error returns — joined
-// with an undo failure if the rollback itself broke. With one log this
-// is exactly the serial rollback; with per-group logs the groups touch
-// disjoint subtrees, so their inverses commute and the reverse
-// group-index order yields the identical (pre-apply) document state.
-func rollback(err error, logs []*undoLog, versions map[*dom.Node]uint64) error {
-	var undoErrs []error
-	for i := len(logs) - 1; i >= 0; i-- {
-		if undoErr := logs[i].undo(); undoErr != nil {
-			undoErrs = append(undoErrs, undoErr)
-		}
-	}
+// rollback unwinds a failed apply: the undo log runs in strict
+// reverse, every touched tree's version counter is rewound, and the
+// original error returns — joined with an undo failure if the rollback
+// itself broke.
+func rollback(err error, u *undoLog, versions map[*dom.Node]uint64) error {
+	undoErr := u.undo()
 	for root, v := range versions {
 		if root.Version() != v {
 			root.RestoreVersion(v)
 		}
 	}
-	if len(undoErrs) > 0 {
-		return errors.Join(err, fmt.Errorf("update: rollback failed: %w", errors.Join(undoErrs...)))
+	if undoErr != nil {
+		return errors.Join(err, fmt.Errorf("update: rollback failed: %w", undoErr))
 	}
 	return err
 }
 
-// undoLog records, during an atomic apply, the exact inverse of every
-// mutation in application order. A nil *undoLog discards records, so
-// the same apply code serves both modes. Inverses are positional
+// undoLog records, during an apply, the exact inverse of every
+// mutation in application order. Inverses are positional
 // (RestoreChildAt/RestoreAttrAt) rather than sibling-relative: by the
 // time the log unwinds, the sibling that anchored an operation may
 // itself be detached, but unwinding in strict reverse order means each
@@ -273,16 +258,10 @@ type undoLog struct {
 }
 
 func (u *undoLog) add(f func() error) {
-	if u == nil {
-		return
-	}
 	u.steps = append(u.steps, f)
 }
 
 func (u *undoLog) undo() error {
-	if u == nil {
-		return nil
-	}
 	var errs []error
 	for i := len(u.steps) - 1; i >= 0; i-- {
 		if err := u.steps[i](); err != nil {

@@ -54,8 +54,8 @@
 //	            child/attribute-mutating dom.Node methods (AppendChild,
 //	            Detach, SetAttr, Rename, ...). A direct call bypasses
 //	            snapshot semantics, the undo log that makes applies
-//	            atomic, and the version stamp the parallel partitioner's
-//	            index spans rely on. DOM-owning hosts (core, browser,
+//	            atomic, and the version stamp dead-update
+//	            elimination's index spans rely on. DOM-owning hosts (core, browser,
 //	            jsruntime, markup) build trees before queries see them
 //	            and are not scanned.
 //
