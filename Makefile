@@ -18,10 +18,11 @@ ci: fmt-check vet vet-invariants build race chaos lint bench-smoke staticcheck g
 # immutable after construction, serve/rest never store a
 # context.Context in a struct, only internal/dom/index reads the
 # per-document index maps / raw cache slots (always behind the version
-# stamp), the optimizer/closure-compiler never mutate shared AST
-# nodes (rewrites must copy), the store's raw shard state is only
-# touched by shard.go's lock-upholding methods, and DOM mutation in the
-# query/serving layers only happens through the pending-update list.
+# stamp), the optimizer and the walker never mutate shared AST nodes
+# (rewrites must copy; join and memo state stays in the evaluator),
+# the store's raw shard state is only touched by shard.go's
+# lock-upholding methods, and DOM mutation in the query/serving layers
+# only happens through the pending-update list.
 # Stdlib-only stand-ins for the `go vet -vettool` analyzers, which
 # would need golang.org/x/tools.
 vet-invariants:
@@ -29,11 +30,11 @@ vet-invariants:
 	$(GO) run ./tools/analyzers -check ctxstruct internal/serve internal/rest internal/fed
 	$(GO) run ./tools/analyzers -check idxversion internal/dom/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/serve
 	$(GO) run ./tools/analyzers -check ftversion internal/fulltext/index internal/dom internal/xquery/runtime internal/xquery/funclib internal/xmldb internal/serve
-	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan internal/xquery/compile
+	$(GO) run ./tools/analyzers -check planpure internal/xquery/plan internal/xquery/runtime
 	$(GO) run ./tools/analyzers -check storesync internal/xmldb
 	$(GO) run ./tools/analyzers -check pulapply internal/serve internal/rest internal/fed \
 		internal/fulltext internal/xmldb internal/dom/index internal/xdm \
-		internal/xquery internal/xquery/plan internal/xquery/compile \
+		internal/xquery internal/xquery/plan \
 		internal/xquery/analysis internal/xquery/funclib internal/xquery/parser \
 		internal/xquery/ast internal/xquery/lexer
 	$(GO) run ./tools/analyzers -check recovercheck $(shell $(GO) list -f '{{.Dir}}' ./...)
@@ -84,8 +85,8 @@ chaos:
 		./internal/serve ./internal/xquery/update ./internal/dom/index \
 		./internal/xmldb ./internal/fed ./internal/rest
 
-# Full serving-layer benchmark: asserts the program cache wins >=5x over
-# compile-per-request and writes the BENCH_serve.json snapshot.
+# Full benchmarks: every gate at its threshold, and the committed
+# BENCH_*.json trajectory files rewritten from full timed runs.
 bench:
 	$(GO) test -bench . -benchmem -run xxx . ./internal/serve
 	$(GO) run ./cmd/benchserve -check -out BENCH_serve.json
@@ -98,21 +99,25 @@ bench:
 # Cheap CI gates: one iteration per serving scenario (cache/metrics
 # accounting stays exact), a short fixed-iteration path-index run
 # (indexed //x at least 5x faster than the scan, identical results),
-# the compile-backend gate (FLWOR-heavy compiled runs at least 2x
-# faster than the walker, identical results from both backends), the
+# the optimizer gate (join, hoist and pushdown FLWORs at least 2x
+# faster optimized than on the parsed tree, identical results), the
 # store gate (4-shard parallel collection scan at least 2x faster than
 # 1 shard, identical document sets), the full-text gate (indexed
 # ftcontains at least 5x faster than the tokenize-and-scan baseline,
 # byte-identical results), and the federation gate (hedged p99 at
 # least 2x better than unhedged with one stalled backend of four,
-# identical merged results).
+# identical merged results). Smoke snapshots go to the gitignored
+# $(SMOKE_DIR), so they never overwrite the committed full-run files.
+SMOKE_DIR = .bench_smoke
+
 bench-smoke:
-	$(GO) run ./cmd/benchserve -smoke -out BENCH_serve.json
-	$(GO) run ./cmd/benchpath -smoke -out BENCH_pathindex.json
-	$(GO) run ./cmd/benchcompile -smoke -out BENCH_compile.json
-	$(GO) run ./cmd/benchstore -smoke -out BENCH_store.json
-	$(GO) run ./cmd/benchft -smoke -out BENCH_ft.json
-	$(GO) run ./cmd/benchfed -smoke -out BENCH_fed.json
+	mkdir -p $(SMOKE_DIR)
+	$(GO) run ./cmd/benchserve -smoke -out $(SMOKE_DIR)/BENCH_serve.json
+	$(GO) run ./cmd/benchpath -smoke -out $(SMOKE_DIR)/BENCH_pathindex.json
+	$(GO) run ./cmd/benchcompile -smoke -out $(SMOKE_DIR)/BENCH_compile.json
+	$(GO) run ./cmd/benchstore -smoke -out $(SMOKE_DIR)/BENCH_store.json
+	$(GO) run ./cmd/benchft -smoke -out $(SMOKE_DIR)/BENCH_ft.json
+	$(GO) run ./cmd/benchfed -smoke -out $(SMOKE_DIR)/BENCH_fed.json
 
 experiments:
 	$(GO) run ./cmd/experiments

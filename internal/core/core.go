@@ -374,8 +374,7 @@ func (h *Host) runMain(pp *pageProgram) error {
 	if err := pp.ctx.InitGlobals(); err != nil {
 		return err
 	}
-	body := pp.prog.Module().Body
-	if body != nil {
+	if body := pp.ctx.Body(); body != nil {
 		if _, err := h.finish(pp.ctx, func() (xdm.Sequence, error) {
 			return pp.ctx.Eval(body)
 		}); err != nil {

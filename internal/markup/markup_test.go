@@ -320,3 +320,28 @@ func TestEscapeTextProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEscapeAllocations pins the escapers' cost: nothing to escape
+// returns the input without allocating, anything to escape allocates
+// the result once.
+func TestEscapeAllocations(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		escape func(string) string
+		in     string
+		want   string
+		allocs float64
+	}{
+		{"text/clean", EscapeText, "plain text, quotes \" kept", "plain text, quotes \" kept", 0},
+		{"text/escaped", EscapeText, "a < b && c > d", "a &lt; b &amp;&amp; c &gt; d", 1},
+		{"attr/clean", EscapeAttr, "x > y", "x > y", 0},
+		{"attr/escaped", EscapeAttr, `say "a<b" & go`, "say &quot;a&lt;b&quot; &amp; go", 1},
+	} {
+		if got := tt.escape(tt.in); got != tt.want {
+			t.Errorf("%s: got %q, want %q", tt.name, got, tt.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { tt.escape(tt.in) }); n > tt.allocs {
+			t.Errorf("%s: %.0f allocs per call, want <= %.0f", tt.name, n, tt.allocs)
+		}
+	}
+}

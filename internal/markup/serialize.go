@@ -39,7 +39,7 @@ func writeNode(b *strings.Builder, n *dom.Node, mode Mode) {
 	case dom.ElementNode:
 		writeElement(b, n, mode)
 	case dom.TextNode:
-		b.WriteString(EscapeText(n.Data))
+		writeEscaped(b, n.Data, &textEscapes)
 	case dom.CommentNode:
 		b.WriteString("<!--")
 		b.WriteString(n.Data)
@@ -70,7 +70,7 @@ func attrLexical(a *dom.Node) string {
 func writeAttr(b *strings.Builder, a *dom.Node) {
 	b.WriteString(attrLexical(a))
 	b.WriteString(`="`)
-	b.WriteString(EscapeAttr(a.Data))
+	writeEscaped(b, a.Data, &attrEscapes)
 	b.WriteString(`"`)
 }
 
@@ -164,14 +164,49 @@ func mixed(n *dom.Node) bool {
 	return false
 }
 
-// EscapeText escapes character data for XML output.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+// textEscapes and attrEscapes map every byte to its escape in XML
+// character data and in a double-quoted attribute value; "" means the
+// byte is written as it is. Built once per process: a per-call
+// strings.NewReplacer rebuilt its 256-entry table on every text node.
+var (
+	textEscapes = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;"}
+	attrEscapes = [256]string{'&': "&amp;", '<': "&lt;", '"': "&quot;"}
+)
+
+// EscapeText escapes character data for XML output. It returns s
+// itself when nothing needs escaping and allocates once otherwise.
+func EscapeText(s string) string { return escape(s, &textEscapes) }
+
+// EscapeAttr escapes an attribute value for double-quoted XML output,
+// with EscapeText's allocation behaviour.
+func EscapeAttr(s string) string { return escape(s, &attrEscapes) }
+
+func escape(s string, table *[256]string) string {
+	extra := 0
+	for i := 0; i < len(s); i++ {
+		if r := table[s[i]]; r != "" {
+			extra += len(r) - 1
+		}
+	}
+	if extra == 0 {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s) + extra)
+	writeEscaped(&b, s, table)
+	return b.String()
 }
 
-// EscapeAttr escapes an attribute value for double-quoted XML output.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
+// writeEscaped writes s to b, replacing every byte that has an escape
+// in table.
+func writeEscaped(b *strings.Builder, s string, table *[256]string) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		if r := table[s[i]]; r != "" {
+			b.WriteString(s[last:i])
+			b.WriteString(r)
+			last = i + 1
+		}
+	}
+	b.WriteString(s[last:])
 }

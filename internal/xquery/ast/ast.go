@@ -144,12 +144,15 @@ type FLWOR struct {
 	// Join, when non-nil, is the optimizer's equality-join annotation:
 	// the clause at Join.Clause can be executed as the build side of a
 	// hash join instead of a nested loop. The annotated predicate is
-	// removed from Where and kept in Join.Pred, so an evaluator that
-	// ignores the annotation (the tree walker) must apply Join.Pred as
-	// the leading where conjunct to preserve semantics. Only the
-	// optimizer (internal/xquery/plan) writes this field, and only on
-	// its own copies of the tree — parsed modules never carry it.
-	Join *JoinPlan
+	// removed from Where and kept in Join.Pred, so wherever the walker
+	// does not hash (sequential mode) it gates the clause's tuples on
+	// Join.Pred, which is the leading where conjunct it replaced.
+	// Hoists is the number of ast.Hoisted memo slots this FLWOR owns.
+	// Only the optimizer (internal/xquery/plan) writes these fields,
+	// and only on its own copies of the tree — parsed modules never
+	// carry them.
+	Join   *JoinPlan
+	Hoists int
 }
 
 // JoinPlan annotates a FLWOR with a detected equality join (see
@@ -167,11 +170,16 @@ type JoinPlan struct {
 }
 
 // Hoisted marks a loop-invariant subexpression the optimizer lifted
-// out of a FLWOR iteration: the compiled backend evaluates it at most
-// once per FLWOR entry (memoised at first use, so a zero-iteration
-// loop never evaluates it). To every other evaluator it is a
-// transparent wrapper, like Ordered. Only the optimizer constructs it.
-type Hoisted struct{ X Expr }
+// out of a FLWOR iteration: a let binding or where conjunct of the
+// FLWOR that owns it. The walker evaluates it at most once per entry
+// of that FLWOR (memoised at first use, so a zero-iteration loop never
+// evaluates it) in the entry's memo cell Slot; in sequential mode it
+// is a transparent wrapper, like Ordered. Only the optimizer
+// constructs it.
+type Hoisted struct {
+	X    Expr
+	Slot int // index into the owning FLWOR's Hoists memo cells
+}
 
 // Clause is a for or let clause of a FLWOR.
 type Clause struct {

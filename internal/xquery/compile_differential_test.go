@@ -9,13 +9,13 @@ import (
 	"repro/internal/xdm"
 )
 
-// compileDifferentialCorpus is the two-backend corpus: every query runs
-// through both the compiled closures and the tree walker, and the
-// results, update counts and error presence must agree. It covers the
-// paper's listings shapes (updates, scripting, events are exercised by
-// their own tests too), every optimizer rewrite (folding, pushdown,
-// hoisting, join detection) and every compile-native expression shape
-// alongside the bridged long tail.
+// compileDifferentialCorpus is the optimizer corpus: every query runs
+// over the optimized tree and over the parsed tree (DisableOptimize),
+// and the results, update counts and error presence must agree. It
+// covers the paper's listings shapes (updates, scripting, events are
+// exercised by their own tests too), every optimizer rewrite (folding,
+// pushdown, hoisting, join detection and the walker's hash join and
+// hoist memo behind them) and the expression shapes around them.
 var compileDifferentialCorpus = []string{
 	// Literals, arithmetic, folding fodder.
 	`1`, `1 + 2 * 3`, `(1 + 2) * 3`, `10 div 4`, `10 idiv 4`, `-5 + 2`,
@@ -25,7 +25,7 @@ var compileDifferentialCorpus = []string{
 	// Comparisons, value and general, ordered.
 	`1 < 2`, `1 eq 1`, `"a" lt "b"`, `(1,2,3) = 3`, `(1,2,3) = 4`,
 	`() = 1`, `1 = 1.0`, `(1,2) != (1,2)`,
-	// Paths and predicates (bridged, planned once).
+	// Paths and predicates.
 	`//book/title/string()`,
 	`(//book)[1]/@id/string()`,
 	`//book[price > 50]/title/string()`,
@@ -74,14 +74,14 @@ var compileDifferentialCorpus = []string{
 	`for $t in //book/title for $b in //book where $b/title eq $t return $b/@id/string()`,
 	// Nested FLWOR without a join (correlated inner domain).
 	`for $b in //book for $a in $b/author return concat($b/@id, ":", $a)`,
-	// Quantified, typeswitch, casts (bridged).
+	// Quantified, typeswitch, casts.
 	`some $b in //book satisfies $b/author = "Knuth"`,
 	`every $b in //book satisfies fn:exists($b/title)`,
 	`typeswitch (//book[1]/@id) case $a as attribute() return "attr" default return "other"`,
 	`xs:integer("42") + 1`,
 	`"3" cast as xs:double`,
-	// Function calls: streaming built-ins (bridged), eager built-ins,
-	// user functions (compiled), recursion across compiled bodies.
+	// Function calls: streaming built-ins, eager built-ins,
+	// user functions, mutual recursion across optimized bodies.
 	`fn:exists(//book[price > 50])`,
 	`fn:head(fn:tail(//author))`,
 	`fn:subsequence(1 to 20, 5, 3)`,
@@ -95,14 +95,14 @@ var compileDifferentialCorpus = []string{
 	 for $b in //book where $b/price > 50 return local:pick($b)`,
 	// Globals and prolog variables.
 	`declare variable $threshold := 50; for $b in //book where $b/price > $threshold return name($b)`,
-	// Constructors (bridged) inside compiled FLWOR.
+	// Constructors inside an optimized FLWOR.
 	`for $b in //book return <t id="{$b/@id}">{$b/title/string()}</t>`,
 	// Updates: PUL parity between the backends.
 	`for $b in //book where $b/price > 100 return rename node $b as "expensive"`,
 	`insert node <new/> into (//library)[1]`,
 	`delete nodes //book[@id = "b2"]`,
 	`copy $c := (//book)[1] modify delete nodes $c/author return count($c/*)`,
-	// Scripting (poisons the unit: whole body bridges to the walker).
+	// Scripting (the unit stays as parsed).
 	`declare variable $acc := 0; (for $i in 1 to 3 return $i, $acc)`,
 	// EBV laziness: errors hidden beyond the early-exit point must stay
 	// hidden in both backends.
@@ -114,12 +114,21 @@ var compileDifferentialCorpus = []string{
 	`fn:error()`,
 	`1 div 0`,
 	`for $x in (1, 2) where $x eq "s" return $x`,
+	// Nested levels flatten before hoisting: a let or conjunct that is
+	// invariant in the inner level alone varies with the outer one.
+	`for $a in (1,2) return for $b in (1,2) let $n := $a * 10 return $n`,
+	`for $a in (1,2) return for $b in (1,2) where $a eq 1 return $b`,
+	// A where clause over nodes an earlier iteration updated through a
+	// sequential function: under Sequential it must see the update, so
+	// the conjunct may not be pushed into the domain.
+	`declare sequential function local:f($b) { replace value of node ($b/../b)[2]/@keep with "n"; string($b/@n); };
+	 let $r := <r><b keep="y" n="1"/><b keep="y" n="2"/></r> for $b in $r/b where $b/@keep = "y" return local:f($b)`,
 }
 
-// runBothBackends evaluates src with and without DisableCompile against
-// fresh copies of the library document (updates mutate it) and returns
-// the rendered results, update counts and errors.
-func runBothBackends(t *testing.T, e *Engine, src string) (compiled, walked string, cUpd, wUpd int, cErr, wErr error) {
+// runBothBackends evaluates src with and without DisableOptimize
+// against fresh copies of the library document (updates mutate it) and
+// returns the rendered results, update counts and errors.
+func runBothBackends(t *testing.T, e *Engine, src string, sequential bool) (optimized, parsed string, oUpd, pUpd int, oErr, pErr error) {
 	t.Helper()
 	p, err := e.Compile(src)
 	if err != nil {
@@ -132,46 +141,50 @@ func runBothBackends(t *testing.T, e *Engine, src string) (compiled, walked stri
 			t.Fatal(err)
 		}
 		res, err := p.Run(RunConfig{
-			ContextItem:    xdm.NewNode(doc),
-			DisableCompile: disable,
-			MaxSteps:       500_000,
-			Timeout:        5 * time.Second,
-			Now:            now,
+			ContextItem:     xdm.NewNode(doc),
+			DisableOptimize: disable,
+			Sequential:      sequential,
+			MaxSteps:        500_000,
+			Timeout:         5 * time.Second,
+			Now:             now,
 		})
 		if err != nil {
 			return "", 0, err
 		}
 		return FormatSequence(res.Value, markup.Serialize), res.Updates, nil
 	}
-	compiled, cUpd, cErr = run(false)
-	walked, wUpd, wErr = run(true)
+	optimized, oUpd, oErr = run(false)
+	parsed, pUpd, pErr = run(true)
 	return
 }
 
-// TestCompileDifferential is the two-backend oracle: byte-identical
-// results, identical applied-update counts, identical error presence.
+// TestCompileDifferential is the optimizer oracle, in both update
+// modes: byte-identical results, identical applied-update counts,
+// identical error presence.
 func TestCompileDifferential(t *testing.T) {
 	e := New()
-	for _, src := range compileDifferentialCorpus {
-		compiled, walked, cUpd, wUpd, cErr, wErr := runBothBackends(t, e, src)
-		if (cErr == nil) != (wErr == nil) {
-			t.Errorf("%q: compiled err=%v, walker err=%v", src, cErr, wErr)
-			continue
-		}
-		if cErr != nil {
-			continue
-		}
-		if compiled != walked {
-			t.Errorf("%q: compiled %q != walker %q", src, compiled, walked)
-		}
-		if cUpd != wUpd {
-			t.Errorf("%q: compiled applied %d updates, walker %d", src, cUpd, wUpd)
+	for _, sequential := range []bool{false, true} {
+		for _, src := range compileDifferentialCorpus {
+			opt, parsed, oUpd, pUpd, oErr, pErr := runBothBackends(t, e, src, sequential)
+			if (oErr == nil) != (pErr == nil) {
+				t.Errorf("%q (sequential=%v): optimized err=%v, unoptimized err=%v", src, sequential, oErr, pErr)
+				continue
+			}
+			if oErr != nil {
+				continue
+			}
+			if opt != parsed {
+				t.Errorf("%q (sequential=%v): optimized %q != unoptimized %q", src, sequential, opt, parsed)
+			}
+			if oUpd != pUpd {
+				t.Errorf("%q (sequential=%v): optimized applied %d updates, unoptimized %d", src, sequential, oUpd, pUpd)
+			}
 		}
 	}
 }
 
-// TestCompileDifferentialStreamingMatrix crosses the two backends with
-// the streaming switch: four configurations, one answer.
+// TestCompileDifferentialStreamingMatrix crosses the optimizer switch
+// with the streaming switch: four configurations, one answer.
 func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 	e := New()
 	queries := []string{
@@ -188,9 +201,9 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 		var want string
 		for i, cfg := range []RunConfig{
 			{},
-			{DisableCompile: true},
+			{DisableOptimize: true},
 			{DisableStreaming: true},
-			{DisableCompile: true, DisableStreaming: true},
+			{DisableOptimize: true, DisableStreaming: true},
 		} {
 			cfg.ContextItem = xdm.NewNode(libraryDoc(t))
 			cfg.MaxSteps = 500_000
@@ -208,10 +221,10 @@ func TestCompileDifferentialStreamingMatrix(t *testing.T) {
 	}
 }
 
-// FuzzCompileDifferential cross-checks the compiled backend against the
-// tree walker, the same way FuzzStreamingDifferential checks streaming
-// against eager evaluation. Both backends see the same step budget;
-// budget-exceeded runs are skipped because the backends legitimately
+// FuzzCompileDifferential cross-checks the optimized tree against the
+// parsed one, the same way FuzzStreamingDifferential checks streaming
+// against eager evaluation. Both runs see the same step budget;
+// budget-exceeded runs are skipped because the two trees legitimately
 // spend different step counts on the same query.
 func FuzzCompileDifferential(f *testing.F) {
 	for _, s := range compileDifferentialCorpus {
@@ -233,30 +246,30 @@ func FuzzCompileDifferential(f *testing.F) {
 				t.Fatal(err)
 			}
 			res, err := p.Run(RunConfig{
-				ContextItem:    xdm.NewNode(doc),
-				DisableCompile: disable,
-				MaxSteps:       200_000,
-				Timeout:        time.Second,
-				Now:            now,
+				ContextItem:     xdm.NewNode(doc),
+				DisableOptimize: disable,
+				MaxSteps:        200_000,
+				Timeout:         time.Second,
+				Now:             now,
 			})
 			if err != nil {
 				return "", 0, err
 			}
 			return FormatSequence(res.Value, markup.Serialize), res.Updates, nil
 		}
-		compiled, cUpd, cErr := run(false)
-		walked, wUpd, wErr := run(true)
-		if errors.Is(cErr, ErrBudgetExceeded) || errors.Is(wErr, ErrBudgetExceeded) {
+		opt, oUpd, oErr := run(false)
+		parsed, pUpd, pErr := run(true)
+		if errors.Is(oErr, ErrBudgetExceeded) || errors.Is(pErr, ErrBudgetExceeded) {
 			return
 		}
-		if (cErr == nil) != (wErr == nil) {
-			t.Fatalf("%q: compiled err=%v, walker err=%v", src, cErr, wErr)
+		if (oErr == nil) != (pErr == nil) {
+			t.Fatalf("%q: optimized err=%v, unoptimized err=%v", src, oErr, pErr)
 		}
-		if cErr == nil && compiled != walked {
-			t.Fatalf("%q: compiled %q != walker %q", src, compiled, walked)
+		if oErr == nil && opt != parsed {
+			t.Fatalf("%q: optimized %q != unoptimized %q", src, opt, parsed)
 		}
-		if cErr == nil && cUpd != wUpd {
-			t.Fatalf("%q: compiled applied %d updates, walker %d", src, cUpd, wUpd)
+		if oErr == nil && oUpd != pUpd {
+			t.Fatalf("%q: optimized applied %d updates, unoptimized %d", src, oUpd, pUpd)
 		}
 	})
 }

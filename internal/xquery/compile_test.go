@@ -1,11 +1,15 @@
 package xquery
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/dom"
 	"repro/internal/markup"
 	"repro/internal/xdm"
+	"repro/internal/xquery/parser"
 	"repro/internal/xquery/runtime"
 )
 
@@ -41,6 +45,14 @@ func TestOptimizerRewriteStats(t *testing.T) {
 		{`for $b in //book where string-length() > 1 return $b/@id`, 0, 0, 0, 0},
 		// The same builtin with the context made explicit moves freely.
 		{`for $b in //book where string($b/@id) = "b2" return 1`, 0, 1, 0, 0},
+		// A unit that reaches a sequential function, directly or through
+		// a plain function calling it, stays as parsed: its where clause
+		// must see the updates applied by earlier iterations.
+		{`declare sequential function local:s($b) { string($b/@id); };
+		  declare function local:g($b) { local:s($b) };
+		  for $b in //book where $b/price > 50 return local:g($b)`, 0, 0, 0, 0},
+		{`declare function local:g($b) { string($b/@id) };
+		  for $b in //book where $b/price > 50 return local:g($b)`, 0, 1, 0, 0},
 	}
 	for _, tt := range tests {
 		p, err := e.Compile(tt.src)
@@ -111,7 +123,7 @@ func TestHashJoinCorrectness(t *testing.T) {
 			t.Errorf("%q: %d joins detected, want %d", tt.src, got, tt.joins)
 		}
 		for _, disable := range []bool{false, true} {
-			res, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), DisableCompile: disable})
+			res, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), DisableOptimize: disable})
 			if err != nil {
 				t.Fatalf("%q (disable=%v): %v", tt.src, disable, err)
 			}
@@ -122,10 +134,10 @@ func TestHashJoinCorrectness(t *testing.T) {
 	}
 }
 
-// TestProfilerCompiledColumn checks the profiler's compiled counters:
-// native closures report under the walker's kind names, rewrite
-// counters surface per run, and the walker-only path reports none.
-func TestProfilerCompiledColumn(t *testing.T) {
+// TestProfilerRewriteCounters checks that the optimizer's rewrite
+// counters surface per run, and read zero when the run walks the
+// parsed tree.
+func TestProfilerRewriteCounters(t *testing.T) {
 	e := New()
 	doc := libraryDoc(t)
 	src := `for $a in //book for $b in //book where $a/@id eq $b/@id and count(//author) > 1 return 1 + 2`
@@ -138,35 +150,32 @@ func TestProfilerCompiledColumn(t *testing.T) {
 	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if n := prof.CompiledFor("FLWOR"); n == 0 {
-		t.Error("compiled run: no compiled FLWOR evaluations recorded")
-	}
 	if n := prof.RewritesFor("join"); n != 1 {
-		t.Errorf("compiled run: join rewrites = %d, want 1", n)
+		t.Errorf("optimized run: join rewrites = %d, want 1", n)
 	}
 	if n := prof.RewritesFor("hoist"); n == 0 {
-		t.Error("compiled run: no hoist rewrites recorded")
+		t.Error("optimized run: no hoist rewrites recorded")
 	}
-	out := prof.Format()
-	if !strings.Contains(out, "compiled") || !strings.Contains(out, "rewrite:join") {
-		t.Errorf("profile report missing compiled column or rewrite lines:\n%s", out)
+	if out := prof.Format(); !strings.Contains(out, "rewrite:join") || !strings.Contains(out, "rewrite:hoist") {
+		t.Errorf("profile report missing rewrite lines:\n%s", out)
 	}
 
 	walk := newRunProfiler()
-	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: walk, DisableCompile: true}); err != nil {
+	if _, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Profiler: walk, DisableOptimize: true}); err != nil {
 		t.Fatal(err)
 	}
-	if n := walk.CompiledFor("FLWOR"); n != 0 {
-		t.Errorf("walker run recorded %d compiled FLWOR evaluations", n)
+	for _, k := range []string{"fold", "pushdown", "hoist", "join"} {
+		if n := walk.RewritesFor(k); n != 0 {
+			t.Errorf("unoptimized run recorded %d %s rewrites", n, k)
+		}
 	}
-	if n := walk.RewritesFor("join"); n != 0 {
-		t.Errorf("walker run recorded %d join rewrites", n)
+	if out := walk.Format(); strings.Contains(out, "rewrite:") {
+		t.Errorf("unoptimized profile reports rewrites:\n%s", out)
 	}
 }
 
 // TestCacheReusesCompiledProgram: a program-cache hit returns the same
-// Program, so the closure compilation (and the optimizer work behind
-// it) is memoized alongside it.
+// Program, so the optimizer work behind it is memoized alongside it.
 func TestCacheReusesCompiledProgram(t *testing.T) {
 	e := New()
 	c := NewCache(8)
@@ -180,19 +189,17 @@ func TestCacheReusesCompiledProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Error("cache miss on identical source: compiled closures rebuilt")
-	}
-	if p1.compiled == nil || p1.compiled != p2.compiled {
-		t.Error("cached programs do not share the compiled form")
+		t.Error("cache miss on identical source: program re-optimized")
 	}
 	if p1.RewriteStats().Joins != 1 {
 		t.Errorf("cached program lost its rewrite stats: %+v", p1.RewriteStats())
 	}
 }
 
-// TestCompiledFunctionSemantics pins the compiled user-function calling
-// convention against walker behaviours with teeth: recursion depth
-// limit, argument/result conversion errors, exit-with unwinding.
+// TestCompiledFunctionSemantics pins the user-function calling
+// convention over optimized bodies: recursion depth limit,
+// argument/result conversion errors, and one answer with and without
+// the optimizer.
 func TestCompiledFunctionSemantics(t *testing.T) {
 	e := New()
 
@@ -208,12 +215,101 @@ func TestCompiledFunctionSemantics(t *testing.T) {
 
 	p := e.MustCompile(`declare function local:fib($n) { if ($n lt 2) then $n else local:fib($n - 1) + local:fib($n - 2) }; local:fib(15)`)
 	for _, disable := range []bool{false, true} {
-		res, err := p.Run(RunConfig{DisableCompile: disable})
+		res, err := p.Run(RunConfig{DisableOptimize: disable})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := FormatSequence(res.Value, markup.Serialize); got != "610" {
 			t.Errorf("fib(15) disable=%v: got %s", disable, got)
+		}
+	}
+}
+
+// joinBudgetDoc has 100 items and 100 orders, each order referencing
+// one item: a nested loop over them takes 10,000 predicate
+// evaluations, a hash join a few hundred steps.
+func joinBudgetDoc(t *testing.T) xdm.Item {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<shop>")
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, `<item id="i%d"/>`, i)
+	}
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&sb, `<order ref="i%d"/>`, 99-i)
+	}
+	sb.WriteString("</shop>")
+	doc, err := markup.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xdm.NewNode(doc)
+}
+
+// TestJoinWithinBudget: the hash join runs wherever the optimized tree
+// is evaluated — under a streaming builtin through Program.Run, and in
+// a function body called through RunWith (the listener dispatch path)
+// — so a 100x100 join fits a 5,000-step budget the nested loop blows.
+func TestJoinWithinBudget(t *testing.T) {
+	const join = `for $o in //order for $i in //item where $o/@ref eq $i/@id return 1`
+	e := New()
+	item := joinBudgetDoc(t)
+
+	p := e.MustCompile(`count(` + join + `)`)
+	if got := p.RewriteStats().Joins; got != 1 {
+		t.Fatalf("count(join): %d joins detected, want 1", got)
+	}
+	res, err := p.Run(RunConfig{ContextItem: item, MaxSteps: 5000})
+	if err != nil {
+		t.Fatalf("count(join) through Run: %v", err)
+	}
+	if got := FormatSequence(res.Value, markup.Serialize); got != "100" {
+		t.Errorf("count(join) through Run = %s, want 100", got)
+	}
+
+	fp := e.MustCompile(`declare function local:j() { ` + join + ` }; ()`)
+	cfg := RunConfig{ContextItem: item, AmbientFocus: true, MaxSteps: 5000}
+	ctx := fp.NewContext(cfg)
+	if err := ctx.InitGlobals(); err != nil {
+		t.Fatal(err)
+	}
+	res, err = RunWith(ctx, cfg, dom.QName{Space: parser.LocalNamespace, Local: "j"}, nil)
+	if err != nil {
+		t.Fatalf("local:j() through RunWith: %v", err)
+	}
+	if len(res.Value) != 100 {
+		t.Errorf("local:j() through RunWith returned %d items, want 100", len(res.Value))
+	}
+
+	// The parsed tree still nests the loops and trips the same budget:
+	// the test measures the join, not a generous budget.
+	if _, err := p.Run(RunConfig{ContextItem: item, MaxSteps: 5000, DisableOptimize: true}); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("unoptimized count(join): err = %v, want budget exceeded", err)
+	}
+}
+
+// TestSequentialPushdownKeepsIterationOrder: a where clause over nodes
+// that an earlier iteration updates through a sequential function must
+// see the update. Pushing the conjunct into the domain path would
+// filter before the first iteration and return both values.
+func TestSequentialPushdownKeepsIterationOrder(t *testing.T) {
+	const src = `declare sequential function local:f($b) {
+		replace value of node (root($b)/r/b)[2]/@keep with "n";
+		string($b/@n);
+	};
+	for $b in /r/b where $b/@keep = "y" return local:f($b)`
+	p := New().MustCompile(src)
+	for _, disable := range []bool{false, true} {
+		doc, err := markup.Parse(`<r><b keep="y" n="1"/><b keep="y" n="2"/></r>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(RunConfig{ContextItem: xdm.NewNode(doc), Sequential: true, DisableOptimize: disable})
+		if err != nil {
+			t.Fatalf("disable=%v: %v", disable, err)
+		}
+		if got := FormatSequence(res.Value, markup.Serialize); got != "1" {
+			t.Errorf("disable=%v: got %q, want %q", disable, got, "1")
 		}
 	}
 }

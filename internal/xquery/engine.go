@@ -17,7 +17,6 @@ import (
 	"repro/internal/xqerr"
 	"repro/internal/xquery/analysis"
 	"repro/internal/xquery/ast"
-	"repro/internal/xquery/compile"
 	"repro/internal/xquery/funclib"
 	"repro/internal/xquery/parser"
 	"repro/internal/xquery/plan"
@@ -144,15 +143,14 @@ func (e *Engine) Registry() *runtime.Registry { return e.base }
 // parsed-module layer, which is static-context independent (see Cache).
 func (e *Engine) Fingerprint() string { return e.fp }
 
-// Program is a compiled, runnable XQuery program. Compilation is the
-// full three-stage pipeline: plan (path access methods) → optimize
-// (algebraic FLWOR rewrites) → compile (Go closures); the original
-// tree-walking evaluator remains available per run via
-// RunConfig.DisableCompile, as baseline and as differential oracle.
+// Program is a compiled, runnable XQuery program. Compilation is
+// plan (path access methods) → optimize (algebraic FLWOR rewrites, once
+// per program); evaluation walks the optimized tree. The parsed tree
+// stays available per run via RunConfig.DisableOptimize, as baseline
+// and as differential oracle.
 type Program struct {
-	engine   *Engine
-	prog     *runtime.Program
-	compiled *compile.Compiled
+	engine *Engine
+	prog   *runtime.Program
 }
 
 // Compile parses and compiles a main or library module.
@@ -182,17 +180,13 @@ func (e *Engine) CompileModule(m *ast.Module) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lower to closures once per program: the compiled form (and the
-	// optimizer work behind it) is memoized here, so cached programs
-	// (see Cache) never recompile. Compile cannot fail — anything it
-	// does not understand bridges back into the walker.
-	return &Program{engine: e, prog: p, compiled: compile.Compile(p)}, nil
+	return &Program{engine: e, prog: p}, nil
 }
 
 // RewriteStats returns the optimizer's rewrite counts for this
 // program: how many constant folds, predicate pushdowns, loop
-// hoistings and hash-join detections shaped the compiled plan.
-func (p *Program) RewriteStats() plan.Stats { return p.compiled.Stats() }
+// hoistings and hash-join detections shaped the evaluated tree.
+func (p *Program) RewriteStats() plan.Stats { return p.prog.Rewrites() }
 
 // Diagnostic and Severity are the static analyzer's finding types,
 // re-exported so facade users need not import the analysis package.
@@ -353,12 +347,12 @@ type RunConfig struct {
 	// Cache.EvalQuery, Strict additionally keeps rejected programs out
 	// of the program cache.
 	Strict bool
-	// DisableCompile evaluates through the tree walker instead of the
-	// compiled closures: the pre-compilation behaviour, kept as a
-	// benchmark baseline and as the oracle side of the differential
-	// tests. Walked runs evaluate the original (unoptimized) module
-	// AST, so this flag also bypasses the algebraic optimizer.
-	DisableCompile bool
+	// DisableOptimize walks the parsed module and function bodies
+	// instead of the optimizer's rewrites (no folds, pushdowns,
+	// hoisting or hash joins). It is the benchmark baseline and the
+	// oracle side of the optimizer differential tests, like
+	// DisableIndexes for the indexes.
+	DisableOptimize bool
 }
 
 // applyPUL applies a pending update list atomically. eliminate switches
@@ -412,6 +406,7 @@ func (p *Program) NewContext(cfg RunConfig) *runtime.Context {
 	ctx.IO = cfg.Context
 	ctx.NoStream = cfg.DisableStreaming
 	ctx.NoIndex = cfg.DisableIndexes
+	ctx.NoOptimize = cfg.DisableOptimize
 	ctx.Docs = cfg.Docs
 	ctx.Collections = cfg.Collections
 	ctx.CollectionsIter = cfg.CollectionsIter
@@ -453,26 +448,14 @@ func (p *Program) Run(cfg RunConfig) (*Result, error) {
 		diags = ares.Diagnostics
 	}
 	ctx := p.NewContext(cfg)
-	eval := func() (xdm.Sequence, error) { return ctx.Run() }
-	if !cfg.DisableCompile && p.compiled != nil {
-		cc := p.compiled
-		eval = func() (xdm.Sequence, error) {
-			// Globals initialise through the walker (prolog variable
-			// semantics are shared), then the body runs compiled.
-			if err := ctx.InitGlobals(); err != nil {
-				return nil, err
-			}
-			return cc.Run(ctx)
-		}
-		if cfg.Profiler != nil {
-			st := cc.Stats()
-			cfg.Profiler.AddRewrites("fold", int64(st.Folds))
-			cfg.Profiler.AddRewrites("pushdown", int64(st.Pushdowns))
-			cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
-			cfg.Profiler.AddRewrites("join", int64(st.Joins))
-		}
+	if cfg.Profiler != nil && !cfg.DisableOptimize {
+		st := p.RewriteStats()
+		cfg.Profiler.AddRewrites("fold", int64(st.Folds))
+		cfg.Profiler.AddRewrites("pushdown", int64(st.Pushdowns))
+		cfg.Profiler.AddRewrites("hoist", int64(st.Hoists))
+		cfg.Profiler.AddRewrites("join", int64(st.Joins))
 	}
-	res, err := finishRun(ctx, cfg, eval, true)
+	res, err := finishRun(ctx, cfg, ctx.Run, true)
 	if err != nil {
 		return nil, err
 	}

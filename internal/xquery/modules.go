@@ -76,6 +76,7 @@ func NewLocalResolver(sources map[string]string, opts ...Option) runtime.ModuleR
 					lctx.Now = ctx.Now
 					lctx.PUL = ctx.PUL
 					lctx.Ambient = ctx.Ambient
+					lctx.NoOptimize = ctx.NoOptimize
 					if err := lctx.InitGlobals(); err != nil {
 						return nil, err
 					}

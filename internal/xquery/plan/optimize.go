@@ -6,7 +6,7 @@ import (
 )
 
 // Optimize is the algebraic rewrite stage between path planning and
-// closure compilation: it rebuilds an expression tree with
+// evaluation: it rebuilds an expression tree with
 //
 //   - constant subtrees folded to literals (sharing plan.Fold with the
 //     static analyzer, so the two passes agree on what is constant);
@@ -16,7 +16,7 @@ import (
 //     path as ordinary predicates — the shape the path planner then
 //     turns into index probes;
 //   - loop-invariant let bindings and where conjuncts wrapped in
-//     ast.Hoisted, which the compiled backend memoises per FLWOR entry;
+//     ast.Hoisted, which the walker memoises per FLWOR entry;
 //   - equality predicates between the last for clause and an earlier
 //     one annotated as ast.JoinPlan for hash-join execution.
 //
@@ -49,8 +49,15 @@ type optimizer struct {
 	st *Stats
 }
 
-// expr rewrites children first, then tries node-local rewrites.
+// expr rewrites children first, then tries node-local rewrites. A
+// FLWOR is flattened before its children are: the FLWOR rewrites of an
+// inner level (hoisting in particular) are only valid relative to that
+// level's own clauses, so they must run on the merged clause list, not
+// be carried into it.
 func (o *optimizer) expr(e ast.Expr) ast.Expr {
+	if f, ok := e.(ast.FLWOR); ok {
+		e = flatten(f)
+	}
 	e = o.children(e)
 	if lit, ok := o.foldToLiteral(e); ok {
 		o.st.Folds++
@@ -131,7 +138,6 @@ func (o *optimizer) foldToLiteral(e ast.Expr) (ast.Expr, bool) {
 // --- FLWOR rewrites ----------------------------------------------------------
 
 func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
-	f = o.flatten(f)
 	conj := andConjuncts(f.Where)
 	conj, f.Join = o.detectJoin(f, conj)
 	if f.Join != nil {
@@ -139,8 +145,8 @@ func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 	} else {
 		conj, f.Clauses = o.pushdown(f.Clauses, conj)
 	}
-	f.Clauses = o.hoistLets(f.Clauses)
-	conj = o.hoistConjuncts(f.Clauses, conj)
+	f.Clauses = o.hoistLets(f.Clauses, &f.Hoists)
+	conj = o.hoistConjuncts(f.Clauses, conj, &f.Hoists)
 	f.Where = andChain(conj)
 	return f
 }
@@ -150,10 +156,11 @@ func (o *optimizer) flwor(f ast.FLWOR) ast.FLWOR {
 // identical between the nested and the flat form, so the rewrite is
 // unconditional as long as neither level sorts (order by changes when
 // tuples are collected) and the outer level has no filter of its own.
-func (o *optimizer) flatten(f ast.FLWOR) ast.FLWOR {
-	for f.Where == nil && len(f.OrderBy) == 0 && f.Join == nil {
+// It runs on parsed levels only, before any other FLWOR rewrite.
+func flatten(f ast.FLWOR) ast.FLWOR {
+	for f.Where == nil && len(f.OrderBy) == 0 {
 		inner, ok := f.Return.(ast.FLWOR)
-		if !ok || len(inner.OrderBy) != 0 || inner.Join != nil {
+		if !ok || len(inner.OrderBy) != 0 {
 			break
 		}
 		clauses := make([]ast.Clause, 0, len(f.Clauses)+len(inner.Clauses))
@@ -540,8 +547,9 @@ func rewriteFTForPushdown(sel ast.FTSelection, v dom.QName) (ast.FTSelection, bo
 
 // hoistLets wraps loop-invariant let bindings (pure, independent of
 // every iteration-variant variable bound earlier, with at least one
-// for clause in front) in ast.Hoisted.
-func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
+// for clause in front) in ast.Hoisted, numbering the memo slots from
+// *slots upward.
+func (o *optimizer) hoistLets(clauses []ast.Clause, slots *int) []ast.Clause {
 	variant := map[string]bool{}
 	sawFor := false
 	var out []ast.Clause
@@ -560,7 +568,8 @@ func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
 				out = make([]ast.Clause, len(clauses))
 				copy(out, clauses)
 			}
-			out[i].In = ast.Hoisted{X: cl.In}
+			out[i].In = ast.Hoisted{X: cl.In, Slot: *slots}
+			*slots++
 			o.st.Hoists++
 			continue
 		}
@@ -575,9 +584,9 @@ func (o *optimizer) hoistLets(clauses []ast.Clause) []ast.Clause {
 }
 
 // hoistConjuncts wraps loop-invariant where conjuncts in ast.Hoisted;
-// the compiled backend memoises their EBV at first use, so a
-// zero-iteration loop still never evaluates them.
-func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr) []ast.Expr {
+// the walker memoises their EBV at first use, so a zero-iteration loop
+// still never evaluates them.
+func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr, slots *int) []ast.Expr {
 	hasFor := false
 	for _, cl := range clauses {
 		if cl.For {
@@ -596,7 +605,8 @@ func (o *optimizer) hoistConjuncts(clauses []ast.Clause, conj []ast.Expr) []ast.
 				out = make([]ast.Expr, len(conj))
 				copy(out, conj)
 			}
-			out[i] = ast.Hoisted{X: c}
+			out[i] = ast.Hoisted{X: c, Slot: *slots}
+			*slots++
 			o.st.Hoists++
 		}
 	}

@@ -55,10 +55,7 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 	case ast.Ordered:
 		return ctx.Eval(x.X)
 	case ast.Hoisted:
-		// The walker does not memoise hoisted subexpressions; it only
-		// has to evaluate them transparently (the compiled backend is
-		// where hoisting pays off).
-		return ctx.Eval(x.X)
+		return ctx.evalHoisted(x)
 	case ast.FuncCall:
 		return ctx.evalCall(x)
 	case ast.If:
@@ -162,6 +159,9 @@ func (ctx *Context) Eval(e ast.Expr) (xdm.Sequence, error) {
 // streaming form pulls at most two items: `if (//div) then ...` over a
 // huge page inspects a single node.
 func (ctx *Context) evalEBV(e ast.Expr) (bool, error) {
+	if h, ok := e.(ast.Hoisted); ok {
+		return ctx.hoistedEBV(h)
+	}
 	if ctx.NoStream {
 		s, err := ctx.Eval(e)
 		if err != nil {
@@ -220,6 +220,10 @@ func (ctx *Context) evalCall(x ast.FuncCall) (xdm.Sequence, error) {
 	return f.Invoke(ctx, args)
 }
 
+// evalFLWOR evaluates a FLWOR, parsed or optimized. An optimized one
+// may carry a hash-join annotation and own ast.Hoisted memo cells;
+// both are live for one entry and apply only outside sequential mode,
+// where no update becomes visible between iterations.
 func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 	var out xdm.Sequence
 	type tuple struct {
@@ -229,21 +233,21 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 	var tuples []tuple
 	ordered := len(f.OrderBy) > 0
 
+	var jt *joinTable
+	if ctx.SnapshotApply == nil {
+		if f.Hoists > 0 {
+			c := *ctx
+			c.hoist = &hoistFrame{cells: make([]hoistCell, f.Hoists)}
+			ctx = &c
+		}
+		if f.Join != nil {
+			jt = &joinTable{}
+		}
+	}
+
 	var rec func(c *Context, i int) error
 	rec = func(c *Context, i int) error {
 		if i == len(f.Clauses) {
-			if f.Join != nil {
-				// The optimizer moved this predicate out of Where into
-				// the join annotation; the walker evaluates it in its
-				// original place (leading conjunct) instead of hashing.
-				keep, err := c.evalEBV(f.Join.Pred)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					return nil
-				}
-			}
 			if f.Where != nil {
 				keep, err := c.evalEBV(f.Where)
 				if err != nil {
@@ -285,6 +289,16 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 			}
 			return rec(c.withBinding(cl.Var, val), i+1)
 		}
+		// The join clause (always the last one) either probes the hash
+		// table or, in sequential mode, gates every tuple on the join
+		// predicate: the leading where conjunct it replaced.
+		var gate ast.Expr
+		if f.Join != nil && i == f.Join.Clause {
+			if jt != nil {
+				return c.joinClause(f.Join, cl, jt, func(c2 *Context) error { return rec(c2, i+1) })
+			}
+			gate = f.Join.Pred
+		}
 		// The binding sequence of a for clause streams: the return
 		// clause runs as items arrive, so a consumer that stops early
 		// (EBV, a positional filter on the FLWOR) stops the walk too.
@@ -320,6 +334,15 @@ func (ctx *Context) evalFLWOR(f ast.FLWOR) (xdm.Sequence, error) {
 			c2 := c.withBinding(cl.Var, one)
 			if !cl.PosVar.IsZero() {
 				c2 = c2.withBinding(cl.PosVar, xdm.Singleton(xdm.Integer(pos)))
+			}
+			if gate != nil {
+				keep, err := c2.evalEBV(gate)
+				if err != nil {
+					return err
+				}
+				if !keep {
+					continue
+				}
 			}
 			if err := rec(c2, i+1); err != nil {
 				return err

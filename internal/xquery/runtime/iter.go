@@ -64,6 +64,9 @@ func (ctx *Context) evalIter(e ast.Expr) (xdm.Iter, bool) {
 	case ast.Ordered:
 		return ctx.evalIter(x.X)
 	case ast.Hoisted:
+		if ctx.hoist != nil {
+			return ctx.lazyEval(e), false // through the entry's memo
+		}
 		return ctx.evalIter(x.X)
 	case ast.If:
 		return deferredIter(func() (xdm.Iter, error) {

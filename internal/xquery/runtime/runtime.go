@@ -178,12 +178,21 @@ type CompileConfig struct {
 	ResolverBackoff time.Duration
 }
 
-// Program is a compiled module ready for evaluation.
+// Program is a compiled module ready for evaluation. Module is the
+// parsed AST; body and the user functions evaluate the optimizer's
+// rewrite of it (see Compile), unless a context sets NoOptimize.
 type Program struct {
 	Module   *ast.Module
 	Reg      *Registry
 	BlockDoc bool
+
+	body     ast.Expr
+	rewrites plan.Stats
 }
+
+// Rewrites returns the optimizer's rewrite counts over the bodies the
+// program evaluates.
+func (p *Program) Rewrites() plan.Stats { return p.rewrites }
 
 // resolverRetries counts module-resolver load attempts retried after a
 // failure, process-wide (surfaced in serve.Metrics.Failures).
@@ -221,7 +230,9 @@ func resolveWithRetry(cfg CompileConfig, imp ast.ModuleImport, reg *Registry) er
 // module against the given configuration. It also runs the path
 // planner (once per module, however many engines compile it): step
 // access-method annotations must be in place before any evaluation
-// reads them.
+// reads them. Then it runs the algebraic optimizer once over the
+// module body and every function body (plan.OptimizeModule); the
+// optimizer copies, so Module keeps the parsed tree.
 func Compile(m *ast.Module, cfg CompileConfig) (*Program, error) {
 	m.EnsurePlanned(func() { plan.Annotate(m) })
 	reg := cfg.Registry
@@ -238,6 +249,11 @@ func Compile(m *ast.Module, cfg CompileConfig) (*Program, error) {
 			return nil, fmt.Errorf("xquery: importing %q: %w", imp.URI, err)
 		}
 	}
+	body, funcs, st := plan.OptimizeModule(m, func(name dom.QName, arity int) bool {
+		f := reg.Lookup(name, arity)
+		return f != nil && f.Sequential
+	})
+	p.body, p.rewrites = body, st
 	for i := range m.Prolog.Functions {
 		decl := &m.Prolog.Functions[i]
 		if decl.External {
@@ -247,17 +263,15 @@ func Compile(m *ast.Module, cfg CompileConfig) (*Program, error) {
 			}
 			continue
 		}
-		f, err := p.compileUserFunction(decl)
-		if err != nil {
-			return nil, err
-		}
-		reg.Register(f)
+		reg.Register(userFunction(decl, funcs[i]))
 	}
 	return p, nil
 }
 
-func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
-	d := decl
+// userFunction builds the callable for a declared function. optimized
+// is the body the optimizer produced; NoOptimize contexts walk the
+// parsed one.
+func userFunction(d *ast.FuncDecl, optimized ast.Expr) *Function {
 	return &Function{
 		Name:       d.Name,
 		MinArgs:    len(d.Params),
@@ -278,6 +292,7 @@ func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
 			if callee.Item != nil {
 				callee.Pos, callee.Size = 1, 1
 			}
+			callee.hoist = nil
 			for i, prm := range d.Params {
 				v := args[i]
 				if prm.Type != nil {
@@ -289,7 +304,11 @@ func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
 				}
 				callee.env = callee.env.bind(prm.Name, v)
 			}
-			res, err := callee.Eval(d.Body)
+			body := optimized
+			if ctx.NoOptimize {
+				body = d.Body
+			}
+			res, err := callee.Eval(body)
 			if ex, ok := err.(*exitError); ok {
 				res, err = ex.val, nil
 			}
@@ -308,7 +327,7 @@ func (p *Program) compileUserFunction(decl *ast.FuncDecl) (*Function, error) {
 			}
 			return res, nil
 		},
-	}, nil
+	}
 }
 
 // --- environments ------------------------------------------------------------
@@ -400,15 +419,30 @@ type Context struct {
 	// the oracle side of the index differential tests.
 	NoIndex bool
 
+	// NoOptimize walks the parsed module and function bodies instead
+	// of the optimizer's rewrites: no folds, pushdowns, hoisting or
+	// hash joins. It is the baseline in benchmarks and the oracle side
+	// of the optimizer differential tests.
+	NoOptimize bool
+
+	// depth counts user-function call frames. It is an int32 so that
+	// it packs with the flags above: contexts are copied per variable
+	// binding, and the struct stays in the 208-byte size class.
+	depth int32
+
 	// ft carries full-text scoring state (the scores ftcontains
 	// recorded, the scan side's per-document statistics cache). A
 	// pointer so every context copy shares one state per query
 	// invocation, like PUL and Budget.
 	ft *ftState
 
+	// hoist holds the ast.Hoisted memo cells of the innermost FLWOR
+	// entry that owns any (see evalFLWOR); nil outside one and in
+	// sequential mode.
+	hoist *hoistFrame
+
 	env     *env
 	globals *env
-	depth   int
 }
 
 // NewContext builds a root context for the program.
@@ -481,6 +515,16 @@ func (ctx *Context) InitGlobals() error {
 	return nil
 }
 
+// Body returns the module body this context evaluates: the
+// optimizer's rewrite, or the parsed body under NoOptimize. It is nil
+// for a library module.
+func (ctx *Context) Body() ast.Expr {
+	if ctx.NoOptimize {
+		return ctx.Prog.Module.Body
+	}
+	return ctx.Prog.body
+}
+
 // Run initialises globals and evaluates the module body. Pending
 // updates are left in ctx.PUL for the host to apply (unless
 // SnapshotApply consumed them along the way).
@@ -488,10 +532,11 @@ func (ctx *Context) Run() (xdm.Sequence, error) {
 	if err := ctx.InitGlobals(); err != nil {
 		return nil, err
 	}
-	if ctx.Prog.Module.Body == nil {
+	body := ctx.Body()
+	if body == nil {
 		return nil, nil
 	}
-	res, err := ctx.Eval(ctx.Prog.Module.Body)
+	res, err := ctx.Eval(body)
 	if ex, ok := err.(*exitError); ok {
 		return ex.val, nil
 	}

@@ -47,17 +47,11 @@ func TestUpdateDifferentialEliminating(t *testing.T) {
 			return markup.Serialize(n)
 		}
 
-		// Oracle: evaluate on a fresh context (compiled, like Run) and
+		// Oracle: evaluate on a fresh context (optimized, like Run) and
 		// apply the pending list plainly.
 		oCfg := cfg()
 		ctx := p.NewContext(oCfg)
-		var oVal xdm.Sequence
-		oErr := ctx.InitGlobals()
-		if oErr == nil && p.compiled != nil {
-			oVal, oErr = p.compiled.Run(ctx)
-		} else if oErr == nil {
-			oVal, oErr = ctx.Run()
-		}
+		oVal, oErr := ctx.Run()
 		oUpd := 0
 		if oErr == nil && ctx.PUL != nil {
 			oErr = ctx.PUL.Apply(func(update.Primitive) { oUpd++ })

@@ -30,11 +30,13 @@
 //	            accessors Node.LoadFTIndexCache/StoreFTIndexCache —
 //	            access goes through index.For/Probe/Fresh/Attach.
 //
-//	planpure    the optimizer and the closure compiler never mutate the
+//	planpure    the optimizer and the evaluator never mutate the
 //	            shared AST: a parsed module is cached and compiled once
-//	            but read by every run, so plan/compile rewrites must
+//	            but read by every run, so optimizer rewrites must
 //	            build fresh nodes (copy-then-modify by value) instead of
-//	            writing through *ast.Node pointers. The one sanctioned
+//	            writing through *ast.Node pointers, and the walker keeps
+//	            its hash-join tables and hoist memo cells in evaluation
+//	            state, never in the tree. The one sanctioned
 //	            in-place write is the planner's step annotation
 //	            (Access/AccessID on *ast.Step in PlanStep), which is
 //	            idempotent and published through Module.EnsurePlanned's
@@ -537,7 +539,7 @@ var planAnnotationFields = map[string]bool{
 }
 
 // planPure reports field assignments that reach the shared AST through
-// a pointer. In plan/compile, an identifier typed *ast.X (receiver,
+// a pointer. In plan/runtime, an identifier typed *ast.X (receiver,
 // parameter, declared local, or closure parameter) aliases a node of
 // the cached parsed module, which concurrent runs read without locks —
 // rewrites must copy the node by value and modify the copy. Writes to
